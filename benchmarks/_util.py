@@ -1,8 +1,8 @@
 """Shared helpers for the table benchmarks.
 
 Each bench computes one paper table (or one dataset's slice of it),
-prints the rows, and persists them under ``benchmarks/results/`` so
-EXPERIMENTS.md can be regenerated from artifacts rather than scrollback.
+prints the rows, and persists them under ``benchmarks/results/`` so the
+paper-vs-measured tables live in artifacts rather than scrollback.
 """
 from __future__ import annotations
 

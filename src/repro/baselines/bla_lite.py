@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import row_norm_attr, spmv_coo, sym_norm_adj
+from repro.baselines.common import sym_norm_adj
+from repro.core.affinity import normalize_attrs
+from repro.linalg import spmv_coo
 
 
 @dataclass
@@ -41,7 +43,7 @@ def bla_lite(
 ) -> BlaScores:
     """``Z ← (1-λ)·R + λ·Â·Z`` to (near) fixpoint, seeded by observed R."""
     s, t, w = sym_norm_adj(n, src, dst)
-    r = row_norm_attr(n, d, node, attr, weight)
+    r, _ = normalize_attrs(n, d, node, attr, weight)
     z = r.copy()
     for _ in range(iters):
         z = (1 - damping) * r + damping * spmv_coo(s, t, w, z, n)

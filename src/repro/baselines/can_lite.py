@@ -16,32 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import smoothed_attrs
+from repro.baselines.common import NodeEmbedding, smoothed_attrs
 from repro.linalg.randsvd import rand_svd
 
 
 @dataclass
-class CanEmbedding:
-    """Shared-space node and attribute embeddings."""
+class CanEmbedding(NodeEmbedding):
+    """Shared-space node embeddings ``x`` (n, k2) and attribute embeddings."""
 
-    x: np.ndarray  # (n, k2) node embeddings
     y: np.ndarray  # (d, k2) attribute embeddings
 
     def attr_scores(self, nodes: np.ndarray, attrs: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", self.x[nodes], self.y[attrs])
-
-    def link_scores(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.x[src], self.x[dst])
-
-    def link_scores_cosine(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(self.x, axis=1)
-        norm = np.where(norm > 0, norm, 1.0)
-        xn = self.x / norm[:, None]
-        return np.einsum("ij,ij->i", xn[src], xn[dst])
-
-    def node_features(self) -> np.ndarray:
-        s = np.linalg.norm(self.x, axis=1, keepdims=True)
-        return np.divide(self.x, s, out=np.zeros_like(self.x), where=s > 0)
 
 
 def can_lite(

@@ -1,9 +1,12 @@
-"""Shared sparse kernels and embedding containers for the baselines."""
+"""Shared sparse helpers and embedding containers for the baselines."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.affinity import normalize_attrs
+from repro.linalg import l2_normalize_rows, spmv_coo
 
 
 class MethodTooExpensive(Exception):
@@ -26,26 +29,11 @@ class NodeEmbedding:
         return np.einsum("ij,ij->i", self.x[src], self.x[dst])
 
     def link_scores_cosine(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        norm = np.linalg.norm(self.x, axis=1)
-        norm = np.where(norm > 0, norm, 1.0)
-        xn = self.x / norm[:, None]
+        xn = self.node_features()
         return np.einsum("ij,ij->i", xn[src], xn[dst])
 
     def node_features(self) -> np.ndarray:
-        s = np.linalg.norm(self.x, axis=1, keepdims=True)
-        return np.divide(self.x, s, out=np.zeros_like(self.x), where=s > 0)
-
-
-def spmv_coo(
-    out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray, v: np.ndarray, n: int
-) -> np.ndarray:
-    """``out[out_idx] += w · v[in_idx]`` — COO sparse-times-dense (reduceat)."""
-    order = np.argsort(out_idx, kind="stable")
-    oi, contrib = out_idx[order], v[in_idx[order]] * w[order][:, None]
-    uniq, starts = np.unique(oi, return_index=True)
-    out = np.zeros((n, v.shape[1]))
-    out[uniq] = np.add.reduceat(contrib, starts, axis=0)
-    return out
+        return l2_normalize_rows(self.x)
 
 
 def sym_norm_adj(
@@ -71,16 +59,6 @@ def sym_norm_adj(
     return s, t, w
 
 
-def row_norm_attr(
-    n: int, d: int, node: np.ndarray, attr: np.ndarray, weight: np.ndarray
-) -> np.ndarray:
-    """Dense row-normalized attribute matrix (each node's attr distribution)."""
-    r = np.zeros((n, d))
-    np.add.at(r, (node, attr), weight)
-    s = r.sum(axis=1, keepdims=True)
-    return np.divide(r, s, out=np.zeros_like(r), where=s > 0)
-
-
 def smoothed_attrs(
     n: int,
     d: int,
@@ -97,7 +75,7 @@ def smoothed_attrs(
     diffused a few hops over the (undirected, normalized) topology.
     """
     s, t, w = sym_norm_adj(n, src, dst)
-    k = row_norm_attr(n, d, node, attr, weight)
+    k, _ = normalize_attrs(n, d, node, attr, weight)
     for _ in range(hops):
         k = spmv_coo(s, t, w, k, n)
     return k

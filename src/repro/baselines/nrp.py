@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import spmv_coo
+from repro.linalg import l2_normalize_rows, spmv_coo
 
 
 @dataclass
@@ -30,11 +30,7 @@ class NrpEmbedding:
         return np.einsum("ij,ij->i", self.xf[src], self.xb[dst])
 
     def node_features(self) -> np.ndarray:
-        def norm(x: np.ndarray) -> np.ndarray:
-            s = np.linalg.norm(x, axis=1, keepdims=True)
-            return np.divide(x, s, out=np.zeros_like(x), where=s > 0)
-
-        return np.hstack([norm(self.xf), norm(self.xb)])
+        return np.hstack([l2_normalize_rows(self.xf), l2_normalize_rows(self.xb)])
 
 
 def nrp_lite(

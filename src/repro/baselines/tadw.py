@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import MethodTooExpensive, NodeEmbedding, row_norm_attr
+from repro.baselines.common import MethodTooExpensive, NodeEmbedding
+from repro.core.affinity import normalize_attrs
 from repro.linalg.randsvd import rand_svd
 
 
@@ -52,7 +53,7 @@ def tadw_lite(
 
     # Text features: top singular directions of the attribute matrix.
     f = min(text_dim, d, n)
-    r = row_norm_attr(n, d, node, attr, weight)
+    r, _ = normalize_attrs(n, d, node, attr, weight)
     u, s, _ = rand_svd(r, f, t=5, seed=seed)
     tmat = (u * np.diag(s)[None, :]).T  # (f, n)
 

@@ -19,6 +19,8 @@ The Spark version (PAPMI) distributes the node dimension: the state
 DataFrames carry one length-d vector per node, SpMM is DataFrame
 message passing, and the per-block math runs in NumPy inside
 ``applyInPandas`` — the paper's nb threads mapped onto Spark partitions.
+Each iteration is one aggregation per direction: the walk weights carry
+the ``(1-α)`` factor, and the ``α·R`` restart rows join the same group-by.
 """
 from __future__ import annotations
 
@@ -26,14 +28,15 @@ import math
 
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.linalg import (
     col_normalize,
-    combine_states,
     elementwise,
     make_state,
     row_normalize,
     spmm,
+    spmv_coo,
     state_to_numpy,
     walk_edges,
 )
@@ -61,22 +64,6 @@ def normalize_attrs(
     return Rr, Rc
 
 
-def _spmv_coo(
-    out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray, V: np.ndarray, n: int
-) -> np.ndarray:
-    """``out[out_idx] += w · V[in_idx]`` — COO sparse-times-dense in NumPy.
-
-    Sorted ``reduceat`` kernel (same trick as the Spark block kernel) —
-    ``np.add.at`` is an order of magnitude slower at bench scale.
-    """
-    order = np.argsort(out_idx, kind="stable")
-    oi, contrib = out_idx[order], V[in_idx[order]] * w[order][:, None]
-    uniq, starts = np.unique(oi, return_index=True)
-    out = np.zeros((n, V.shape[1]))
-    out[uniq] = np.add.reduceat(contrib, starts, axis=0)
-    return out
-
-
 def apmi_numpy(
     n: int,
     d: int,
@@ -95,8 +82,8 @@ def apmi_numpy(
     w = 1.0 / deg[src]  # random-walk weights of P = D^{-1} A
     pf, pb = Rr.copy(), Rc.copy()
     for _ in range(t):
-        pf = (1 - alpha) * _spmv_coo(src, dst, w, pf, n) + alpha * Rr
-        pb = (1 - alpha) * _spmv_coo(dst, src, w, pb, n) + alpha * Rc
+        pf = (1 - alpha) * spmv_coo(src, dst, w, pf, n) + alpha * Rr
+        pb = (1 - alpha) * spmv_coo(dst, src, w, pb, n) + alpha * Rc
     cs = pf.sum(axis=0, keepdims=True)
     pf_hat = np.divide(pf, cs, out=np.zeros_like(pf), where=cs > 0)
     rs = pb.sum(axis=1, keepdims=True)
@@ -116,17 +103,24 @@ def papmi_from_states(
 ) -> tuple[DataFrame, DataFrame]:
     """Algorithm 6 (PAPMI) core loop on pre-built R_r/R_c states.
 
-    The recurrence lineage is cut with ``localCheckpoint`` each
-    iteration so the plan stays flat across the t SpMM rounds.
+    The walk weights are scaled by ``(1-α)`` once and cached, so each
+    step ``P^(ℓ) = (1-α)·P·P^(ℓ-1) + α·R`` is one ``spmm`` with ``R`` as
+    its restart rows. The recurrence lineage is cut with
+    ``localCheckpoint`` each iteration so the plan stays flat across the
+    t SpMM rounds.
     """
-    ew = edges_to_walk(edges)
+    ew = (
+        walk_edges(edges)
+        .withColumn("w", F.col("w") * (1 - alpha))
+        .localCheckpoint(eager=True)
+    )
     pf, pb = rr_state, rc_state
     for _ in range(t):
-        pf = combine_states(
-            1 - alpha, spmm(ew, pf, nb), alpha, rr_state, d, nb
-        ).localCheckpoint(eager=True)
-        pb = combine_states(
-            1 - alpha, spmm(ew, pb, nb, transpose=True), alpha, rc_state, d, nb
+        pf = spmm(ew, pf, nb, restart=rr_state, alpha=alpha).localCheckpoint(
+            eager=True
+        )
+        pb = spmm(
+            ew, pb, nb, transpose=True, restart=rc_state, alpha=alpha
         ).localCheckpoint(eager=True)
     f = elementwise(col_normalize(pf, d), lambda m: np.log2(n * m + 1))
     b = elementwise(row_normalize(pb), lambda m: np.log2(d * m + 1))
@@ -148,11 +142,6 @@ def papmi_spark(
     rr_state = make_state(spark, rr, nb).localCheckpoint(eager=True)
     rc_state = make_state(spark, rc, nb).localCheckpoint(eager=True)
     return papmi_from_states(edges, rr_state, rc_state, n, d, alpha, t, nb)
-
-
-def edges_to_walk(edges: DataFrame) -> DataFrame:
-    """Cache-once wrapper for the walk-weighted edge list (nonzeros of P)."""
-    return walk_edges(edges).localCheckpoint(eager=True)
 
 
 def affinities_spark_to_numpy(

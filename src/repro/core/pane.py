@@ -23,6 +23,7 @@ from repro.core.greedy_init import (
     random_init_numpy,
     sm_greedy_init_spark,
 )
+from repro.linalg import l2_normalize_rows
 from repro.linalg.matrix import STATE_SCHEMA, attrs_df, edges_df
 
 
@@ -52,12 +53,7 @@ class PaneEmbedding:
 
     def node_features(self) -> np.ndarray:
         """Section 5.4's classifier input: L2-normalized [Xf ‖ Xb]."""
-
-        def norm(x: np.ndarray) -> np.ndarray:
-            s = np.linalg.norm(x, axis=1, keepdims=True)
-            return np.divide(x, s, out=np.zeros_like(x), where=s > 0)
-
-        return np.hstack([norm(self.xf), norm(self.xb)])
+        return np.hstack([l2_normalize_rows(self.xf), l2_normalize_rows(self.xb)])
 
 
 def pane_numpy(

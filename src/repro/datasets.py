@@ -11,7 +11,7 @@ that matches the *shape* that matters to ANE methods:
 * labels = community ids (single-label, used for node classification).
 
 Two profiles: ``test`` (hundreds of nodes; unit tests) and ``bench``
-(10³–10⁴ nodes; EXPERIMENTS.md tables). The three massive datasets are
+(10³–10⁴ nodes; the tables in ``benchmarks/results/``). The three massive datasets are
 scaled down ~100–3000× (DESIGN.md "Dataset substitutions"); the paper's
 original statistics are kept alongside for the Table 3 comparison.
 """

@@ -1,7 +1,8 @@
 """Table builders — one function per paper artifact, shared by jobs/ and
 benchmarks/. Each returns printable rows carrying both our measured
 numbers and the paper's published ones (where the paper reports a value)
-so EXPERIMENTS.md diffs read straight off the output.
+so the paper-vs-measured comparison in ``benchmarks/results/`` reads
+straight off the output.
 """
 from __future__ import annotations
 

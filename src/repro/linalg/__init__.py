@@ -10,6 +10,11 @@ Two data layouts are used throughout:
   DataFrames*: one row per node with an ``array<double>`` vector column,
   plus a ``block`` column that maps the paper's ``nb`` threads onto Spark
   partitions.
+
+PAPMI advances each direction with one ``spmm`` per iteration: the walk
+messages and the α-weighted restart rows are summed in one aggregation.
+Its per-block kernel ``sum_by_key`` is also the NumPy paths' SpMM
+(``spmv_coo``, used by APMI and the baselines).
 """
 from repro.linalg.matrix import (  # noqa: F401
     STATE_SCHEMA,
@@ -22,9 +27,11 @@ from repro.linalg.matrix import (  # noqa: F401
 from repro.linalg.ops import (  # noqa: F401
     col_normalize,
     col_sums,
-    combine_states,
     elementwise,
+    l2_normalize_rows,
     row_normalize,
     spmm,
+    spmv_coo,
+    sum_by_key,
 )
 from repro.linalg.randsvd import rand_svd  # noqa: F401

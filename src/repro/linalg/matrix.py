@@ -68,7 +68,7 @@ def state_to_numpy(state: DataFrame, n: int, d: int) -> np.ndarray:
 def edges_df(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
     """Build an unweighted COO edge DataFrame ``(src, dst)``."""
     pdf = pd.DataFrame({"src": src.astype(np.int64), "dst": dst.astype(np.int64)})
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf, schema="src long, dst long")
 
 
 def attrs_df(
@@ -82,7 +82,7 @@ def attrs_df(
             "weight": weight.astype(np.float64),
         }
     )
-    return spark.createDataFrame(pdf)
+    return spark.createDataFrame(pdf, schema="node long, attr long, weight double")
 
 
 def walk_edges(edges: DataFrame) -> DataFrame:

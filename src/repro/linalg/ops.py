@@ -1,13 +1,15 @@
-"""Distributed dense-state operations: SpMM, normalization, column sums.
+"""Dense-state operations: SpMM, normalization, column sums.
 
 These are the building blocks PAPMI (Algorithm 6) and PSVDCCD
 (Algorithm 8) are written in. The SpMM is DataFrame message passing:
 join the sparse matrix's COO rows with the dense state on the inner
-index, then aggregate weighted vector sums per output index inside an
-``applyInPandas`` block task (block matrix multiplication, [11] in the
-paper). The per-block kernel sorts by output index and uses
-``np.add.reduceat`` over contiguous runs, so the Python-side cost is a
-handful of vectorized NumPy calls per block, not per edge.
+index, union any restart rows, then aggregate weighted vector sums per
+output index inside an ``applyInPandas`` block task (block matrix
+multiplication, [11] in the paper) — one aggregation per PAPMI step and
+direction. The per-block kernel ``sum_by_key`` sorts by output index and
+uses ``np.add.reduceat`` over contiguous runs, so the Python-side cost is
+a handful of vectorized NumPy calls per block, not per edge. The NumPy
+paths (APMI, the baselines) run the same kernel through ``spmv_coo``.
 """
 from __future__ import annotations
 
@@ -21,24 +23,53 @@ from pyspark.sql import functions as F
 from repro.linalg.matrix import STATE_SCHEMA
 
 
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group-sum rows of ``vals`` by ``keys``: returns (unique_keys, sums)."""
+def sum_by_key(
+    keys: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group-sum value rows by ``keys``: returns (unique_keys, sums).
+
+    ``rows(order)`` builds the value rows already permuted into key
+    order, so each row is gathered once rather than built, then sorted.
+    """
     order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    return uniq, np.add.reduceat(vals, starts, axis=0)
+    uniq, starts = np.unique(keys[order], return_index=True)
+    return uniq, np.add.reduceat(rows(order), starts, axis=0)
+
+
+def spmv_coo(
+    out_idx: np.ndarray, in_idx: np.ndarray, w: np.ndarray, v: np.ndarray, n: int
+) -> np.ndarray:
+    """``out[out_idx] += w · v[in_idx]`` — COO sparse-times-dense in NumPy."""
+    uniq, sums = sum_by_key(out_idx, lambda o: v[in_idx[o]] * w[o, None])
+    out = np.zeros((n, v.shape[1]))
+    out[uniq] = sums
+    return out
+
+
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Scale each row to unit L2 norm (zero rows stay zero)."""
+    s = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(x, s, out=np.zeros_like(x), where=s > 0)
 
 
 def spmm(
-    edges_w: DataFrame, state: DataFrame, nb: int, transpose: bool = False
+    edges_w: DataFrame,
+    state: DataFrame,
+    nb: int,
+    transpose: bool = False,
+    restart: DataFrame | None = None,
+    alpha: float = 1.0,
 ) -> DataFrame:
-    """Sparse-times-dense: ``out = P @ V`` (or ``P^T @ V`` if ``transpose``).
+    """Sparse-times-dense: ``out = P @ V + α·R`` (``P^T`` if ``transpose``).
 
     ``edges_w`` holds the nonzeros of ``P`` as ``(src, dst, w)``; ``state``
     holds the dense ``V`` as ``(block, node, vec)``. Forward mode pulls each
     out-neighbor's vector: ``out[src] = Σ_dst w · V[dst]``; transpose mode
-    pushes along edges: ``out[dst] = Σ_src w · V[src]``. Output rows exist
-    only for nodes that received at least one message (sparse semantics).
+    pushes along edges: ``out[dst] = Σ_src w · V[src]``. The optional
+    ``restart`` state ``R`` enters the same aggregation as one extra message
+    per row, with weight ``alpha``, so an APMI step is a single group-by.
+    Output rows exist only for nodes that received at least one message
+    (sparse semantics).
     """
     inner, outer = ("src", "dst") if transpose else ("dst", "src")
     msgs = edges_w.join(
@@ -49,39 +80,22 @@ def spmm(
         "w",
         "vec",
     )
+    if restart is not None:
+        msgs = msgs.unionByName(
+            restart.select("block", "node", F.lit(float(alpha)).alias("w"), "vec")
+        )
 
     def agg(pdf: pd.DataFrame) -> pd.DataFrame:
         blk = np.int32(pdf["block"].iloc[0])
-        keys = pdf["node"].to_numpy()
-        vals = np.stack(pdf["vec"].to_numpy()) * pdf["w"].to_numpy()[:, None]
-        uniq, sums = _sum_by_key(keys, vals)
+        vecs, w = pdf["vec"].to_numpy(), pdf["w"].to_numpy()
+        uniq, sums = sum_by_key(
+            pdf["node"].to_numpy(), lambda o: np.stack(vecs[o]) * w[o, None]
+        )
         return pd.DataFrame(
             {"block": np.full(len(uniq), blk), "node": uniq, "vec": list(sums)}
         )
 
     return msgs.groupBy("block").applyInPandas(agg, STATE_SCHEMA)
-
-
-def combine_states(
-    a: float, x: DataFrame, b: float, y: DataFrame, d: int, nb: int
-) -> DataFrame:
-    """Elementwise ``a·X + b·Y`` over two state DataFrames (full outer join).
-
-    A node missing from one side contributes a zero vector there — the
-    SpMM output is sparse in exactly this sense. The result carries a
-    fresh ``block = node % nb`` column.
-    """
-    zeros = F.array_repeat(F.lit(0.0), d)
-    xs = x.select("node", F.col("vec").alias("xv"))
-    ys = y.select("node", F.col("vec").alias("yv"))
-    vec = F.zip_with(
-        F.coalesce("xv", zeros),
-        F.coalesce("yv", zeros),
-        lambda u, v: F.lit(float(a)) * u + F.lit(float(b)) * v,
-    )
-    return xs.join(ys, "node", "full_outer").select(
-        (F.col("node") % nb).cast("int").alias("block"), "node", vec.alias("vec")
-    )
 
 
 def elementwise(state: DataFrame, fn: Callable[[np.ndarray], np.ndarray]) -> DataFrame:

@@ -5,19 +5,15 @@ import pytest
 from repro.baselines.bane import bane_lite
 from repro.baselines.bla_lite import bla_lite
 from repro.baselines.can_lite import can_lite
-from repro.baselines.common import (
-    MethodTooExpensive,
-    row_norm_attr,
-    smoothed_attrs,
-    spmv_coo,
-    sym_norm_adj,
-)
+from repro.baselines.common import MethodTooExpensive, smoothed_attrs, sym_norm_adj
+from repro.core.affinity import normalize_attrs
 from repro.baselines.netmf import netmf_lite
 from repro.baselines.nrp import nrp_lite
 from repro.baselines.tadw import tadw_lite
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
 from repro.eval.splits import attribute_split, link_split
+from repro.linalg import spmv_coo
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +55,7 @@ class TestCommonKernels:
         assert np.abs(np.linalg.eigvalsh((a + a.T) / 2)).max() <= 1 + 1e-9
 
     def test_row_norm_attr(self):
-        r = row_norm_attr(
+        r, _ = normalize_attrs(
             3, 2, np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([1.0, 3.0, 2.0])
         )
         assert np.allclose(r[0], [0.25, 0.75])

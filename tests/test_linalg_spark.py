@@ -13,7 +13,6 @@ from pyspark.sql import functions as F
 from repro.linalg import (
     col_normalize,
     col_sums,
-    combine_states,
     edges_df,
     elementwise,
     make_state,
@@ -103,13 +102,17 @@ class TestSpmm:
         assert np.allclose(got, expected, atol=1e-10)
 
     def test_spmm_vs_duckdb_scalar_column(self, spark):
-        """One-column SpMM is a SQL join+group-by — oracle-checkable."""
+        """One-column SpMM with restart rows is a SQL join, union and
+        group-by — oracle-checkable."""
         n = 20
         src, dst = _random_graph(n=n, m=80, seed=6)
         vec = np.random.default_rng(7).random(n)
+        ids = np.arange(0, n, 3)  # restart rows on every third node
+        rvec = np.random.default_rng(8).random(len(ids))
         ew = walk_edges(edges_df(spark, src, dst))
         st = make_state(spark, vec[:, None], 3)
-        got_state = spmm(ew, st, 3)
+        rst = make_state(spark, rvec[:, None], 3, ids=ids)
+        got_state = spmm(ew, st, 3, restart=rst, alpha=0.25)
         got = got_state.select(
             "node", F.element_at("vec", 1).alias("val")
         )
@@ -118,12 +121,16 @@ class TestSpmm:
         assert_equivalent(
             got,
             """
-            SELECT e.src AS node, SUM(e.w * v.x) AS val
-            FROM edges_w e JOIN vecs v ON e.dst = v.node
-            GROUP BY e.src
+            SELECT node, SUM(val) AS val FROM (
+                SELECT e.src AS node, e.w * v.x AS val
+                FROM edges_w e JOIN vecs v ON e.dst = v.node
+                UNION ALL
+                SELECT node, 0.25 * x AS val FROM restart
+            ) GROUP BY node
             """,
             edges_w=pd.DataFrame({"src": src, "dst": dst, "w": 1.0 / deg[src]}),
             vecs=pd.DataFrame({"node": np.arange(n), "x": vec}),
+            restart=pd.DataFrame({"node": ids, "x": rvec}),
         )
 
     def test_output_sparse_only_message_receivers(self, spark):
@@ -137,25 +144,45 @@ class TestSpmm:
         assert np.allclose(np.stack(out["vec"]), [[1.0, 1.0]])
 
 
-class TestCombineStates:
-    @pytest.mark.parametrize("nb", [1, 4])
-    def test_axpy(self, spark, nb):
-        a = np.random.default_rng(8).standard_normal((12, 3))
-        b = np.random.default_rng(9).standard_normal((12, 3))
-        sa, sb = make_state(spark, a, nb), make_state(spark, b, nb)
-        got = state_to_numpy(combine_states(0.5, sa, 2.0, sb, 3, nb), 12, 3)
-        assert np.allclose(got, 0.5 * a + 2.0 * b)
+class TestFusedStep:
+    """One APMI step ``(1-α)·P·V + α·R`` as a single ``spmm`` aggregation."""
 
-    def test_missing_rows_zero_filled(self, spark):
-        a = np.ones((3, 2))
-        b = np.full((2, 2), 5.0)
-        sa = make_state(spark, a, 2, ids=np.array([0, 1, 2]))
-        sb = make_state(spark, b, 2, ids=np.array([1, 4]))
-        got = state_to_numpy(combine_states(1.0, sa, 1.0, sb, 2, 2), 5, 2)
-        assert np.allclose(got[0], [1, 1])
-        assert np.allclose(got[1], [6, 6])
-        assert np.allclose(got[3], [0, 0])
-        assert np.allclose(got[4], [5, 5])
+    @pytest.mark.parametrize("nb", [1, 4])
+    def test_matches_numpy(self, spark, nb):
+        n, dcols, alpha = 25, 3, 0.3
+        src, dst = _random_graph(n=n, m=100, seed=8)
+        mat = np.random.default_rng(9).standard_normal((n, dcols))
+        r = np.random.default_rng(10).random((n, dcols))
+        p = _p_dense(n, src, dst)
+        ew = walk_edges(edges_df(spark, src, dst)).withColumn(
+            "w", F.col("w") * (1 - alpha)
+        )
+        st, rst = make_state(spark, mat, nb), make_state(spark, r, nb)
+        for transpose in (False, True):
+            expected = (1 - alpha) * (p.T if transpose else p) @ mat + alpha * r
+            out = spmm(ew, st, nb, transpose=transpose, restart=rst, alpha=alpha)
+            assert np.allclose(state_to_numpy(out, n, dcols), expected, atol=1e-10)
+
+    def test_restart_only_messages_only_and_both(self, spark):
+        # Forward messages reach sources: node 1 and node 2 pull node 3's
+        # vector. Restart rows sit on nodes 0 and 2; node 3 gets neither.
+        ew = spark.createDataFrame(
+            pd.DataFrame({"src": [1, 2], "dst": [3, 3], "w": [0.5, 0.25]}),
+            schema="src long, dst long, w double",
+        )
+        st = make_state(spark, np.arange(8.0).reshape(4, 2), 2)
+        rst = make_state(
+            spark, np.array([[1.0, 2.0], [3.0, 4.0]]), 2, ids=np.array([0, 2])
+        )
+        out = spmm(ew, st, 2, restart=rst, alpha=0.5)
+        pdf = out.toPandas()
+        assert sorted(pdf["node"]) == [0, 1, 2]
+        assert (pdf["block"] == pdf["node"] % 2).all()
+        got = state_to_numpy(out, 4, 2)
+        assert np.allclose(got[0], [0.5, 1.0])  # restart only
+        assert np.allclose(got[1], [3.0, 3.5])  # messages only
+        assert np.allclose(got[2], [1.5 + 1.5, 1.75 + 2.0])  # both
+        assert np.allclose(got[3], [0.0, 0.0])
 
 
 class TestNormalizeAndSums:

@@ -6,9 +6,10 @@ from repro.core.affinity import (
     affinities_spark_to_numpy,
     apmi_numpy,
     normalize_attrs,
+    papmi_from_states,
     papmi_spark,
 )
-from repro.core.pane import attr_states
+from repro.core.pane import attr_states, pane_numpy, pane_spark
 from repro.linalg.matrix import attrs_df, edges_df
 from repro.linalg import state_to_numpy
 
@@ -71,6 +72,28 @@ class TestLemma41:
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
+
+    def test_empty_edge_list_matches_numpy(self, spark):
+        """No edges: both paths keep only the restart mass, and agree."""
+        n, d, nb = 12, 5, 3
+        _, _, node, attr, w = _instance(n, d, seed=7)
+        src = dst = np.zeros(0, dtype=np.int64)
+        f_ref, b_ref = apmi_numpy(n, d, src, dst, node, attr, w, 0.5, 6)
+        rr_s, rc_s = attr_states(spark, attrs_df(spark, node, attr, w), d, nb)
+        fs, bs = papmi_from_states(
+            edges_df(spark, src, dst), rr_s, rc_s, n, d, 0.5, 6, nb
+        )
+        f, b = affinities_spark_to_numpy(fs, bs, n, d)
+        assert np.abs(f - f_ref).max() < 1e-9
+        assert np.abs(b - b_ref).max() < 1e-9
+        # k/2 = d: both factorizations are exact, so the scores must agree.
+        args = (n, d, src, dst, node, attr, w)
+        emb_p = pane_spark(spark, *args, k=2 * d, nb=nb)
+        emb_s = pane_numpy(*args, k=2 * d)
+        vs, rs = np.divmod(np.arange(n * d), d)
+        assert np.allclose(
+            emb_p.attr_scores(vs, rs), emb_s.attr_scores(vs, rs), atol=1e-9
+        )
 
 
 class TestAttrStates:

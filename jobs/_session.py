@@ -7,18 +7,27 @@ the SpMM message passing really shuffles, 32 shuffle partitions
 import os
 
 
+def _read(path: str) -> str | None:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """~75% of the machine's memory, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it goes into PYSPARK_SUBMIT_ARGS before the first
-    session starts.
+    limit > /proc/meminfo MemTotal > 48g fallback. spark.driver.memory is
+    read at JVM launch, not from SparkConf, so it goes into
+    PYSPARK_SUBMIT_ARGS before the first session starts.
 
     The cgroup read is best-effort: sandboxed kernels may not pass the
     host limit through. An unbounded value (cgroup-v1's ~9.2e18
-    "unlimited" sentinel, or a missing limit) is treated as absent so the
-    JVM is never handed an impossible heap.
+    "unlimited" sentinel, or a missing limit) is treated as absent, and
+    the host's physical memory is used instead, so the JVM is never
+    handed an impossible heap.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
@@ -26,17 +35,20 @@ def _driver_mem() -> str:
         "/sys/fs/cgroup/memory.max",
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
+        raw = (_read(p) or "").strip()
         try:
-            raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
             gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
-        except (OSError, ValueError):
+        except ValueError:  # missing, empty or "max"
             continue
+        if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+            continue
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+        return f"{max(1, int(gib * 0.75))}g"
+    for line in (_read("/proc/meminfo") or "").splitlines():
+        if line.startswith("MemTotal:"):
+            kib = int(line.split()[1])
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"meminfo:MemTotal={kib}kB"
+            return f"{max(1, int(kib / (1 << 20) * 0.75))}g"
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
     return "48g"
 

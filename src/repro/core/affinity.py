@@ -46,7 +46,12 @@ def num_iterations(eps: float, alpha: float) -> int:
     """The paper's iteration count ``t = log(ϵ)/log(1-α) − 1`` (Alg. 1, Line 1).
 
     Rounded up so the tail bound (1-α)^{t+1} ≤ ϵ of Lemma 3.1 holds.
+    Both drivers call this first, so it also rejects ``alpha``/``eps``
+    outside (0, 1), where the formula is undefined.
     """
+    for name, value in (("alpha", alpha), ("eps", eps)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {value!r}")
     t = math.log(eps) / math.log(1.0 - alpha) - 1.0
     return max(1, math.ceil(t - 1e-9))
 

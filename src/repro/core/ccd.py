@@ -11,12 +11,15 @@ per row/column while vectorizing over the independent index. The
 bit-level equivalence with the literal Algorithm-4 loop nest is
 asserted in tests (``naive_svdccd_numpy``).
 
-The distributed Y-phase uses the moment identity from DESIGN.md:
-``N := Xf^T Sf + Xb^T Sb = (Gf+Gb)·Y^T − (Xf^T F' + Xb^T B')`` — the
-four moments are tiny ((k/2)² and (k/2)×d) and computed by partial
-sums over partitions, after which the driver replays the exact cyclic
-update including the paper's dynamic maintenance (Equation 20) as
-``N[:,rj] −= µy·G[:,l]``.
+Both phases run in moment form (CCD++, Yu et al. ICDM 2012): the X-phase
+on ``P := S·Y = X·(Y^T Y) − M·Y`` (n×k/2 per affinity), the Y-phase on
+``N := Xf^T Sf + Xb^T Sb = G·Y^T − C`` with ``G = Xf^T Xf + Xb^T Xb`` and
+``C = Xf^T F' + Xb^T B'`` ((k/2)² and (k/2)×d). Neither materializes an
+n×d residual, and each reproduces the paper's dynamic residual
+maintenance (Equations 18-20) exactly. Distributed, one PSVDCCD sweep is
+one pass over the node rows: each task runs the X-phase on its rows and
+emits its partial ``(G, C)``; the driver sums the partials and replays
+the Y-phase.
 """
 from __future__ import annotations
 
@@ -43,26 +46,27 @@ def x_phase(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One CCD sweep over all node rows (Alg. 4 Lines 3-9), vectorized.
 
-    Residual rows are formed fresh (``S = X·Y^T − M``), which equals the
-    paper's dynamically-maintained residuals exactly, then maintained
-    across the ``l`` loop per Equations (18)-(19). Pure function: inputs
-    are not mutated (the Spark block task reuses it verbatim).
+    Runs on ``P = S·Y`` rather than the residual ``S = X·Y^T − M``: with
+    ``A = Y^T Y``, ``P = X·A − M·Y`` and Equations (18)-(19)'s update
+    ``S −= µ·Y[:,l]^T`` becomes ``P −= µ·A[l]``, so the ``l`` loop works
+    on n×k/2 arrays, not n×d ones. The forward and backward rows share
+    ``A`` and are stacked; both are held transposed so each coordinate is
+    one contiguous row, and only the columns of ``P`` still to be read
+    (``> l``) are updated. Pure function: inputs are not mutated (the
+    Spark sweep task reuses it verbatim).
     """
-    xf, xb = xf.copy(), xb.copy()
-    sf = xf @ y.T - f
-    sb = xb @ y.T - b
-    for l in range(y.shape[1]):
-        yl = y[:, l]
-        denom = yl @ yl
-        if denom < _TINY:
+    n = len(xf)
+    a = y.T @ y
+    x = np.vstack([xf, xb]).T.copy()
+    p = a @ x
+    p -= np.vstack([f @ y, b @ y]).T
+    for l in range(len(a)):
+        if a[l, l] < _TINY:
             continue
-        muf = (sf @ yl) / denom
-        mub = (sb @ yl) / denom
-        xf[:, l] -= muf
-        xb[:, l] -= mub
-        sf -= np.outer(muf, yl)
-        sb -= np.outer(mub, yl)
-    return xf, xb
+        mu = p[l] / a[l, l]
+        x[l] -= mu
+        p[l + 1 :] -= np.outer(a[l, l + 1 :], mu)
+    return x[:, :n].T, x[:, n:].T
 
 
 def y_phase_from_moments(
@@ -145,61 +149,50 @@ def naive_svdccd_numpy(
     return xf, xb, y
 
 
-def _moments(state: DataFrame, k2: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distributed ``(G, C)`` moments via per-partition partial sums."""
-
-    def partial(it):
-        g = np.zeros((k2, k2))
-        c = np.zeros((k2, d))
-        for pdf in it:
-            if not len(pdf):
-                continue
-            xf = np.stack(pdf["xf"].to_numpy())
-            xb = np.stack(pdf["xb"].to_numpy())
-            fi = np.stack(pdf["f"].to_numpy())
-            bi = np.stack(pdf["b"].to_numpy())
-            g += xf.T @ xf + xb.T @ xb
-            c += xf.T @ fi + xb.T @ bi
-        yield pd.DataFrame({"g": [list(g.ravel())], "c": [list(c.ravel())]})
-
-    rows = state.mapInPandas(partial, "g array<double>, c array<double>").collect()
-    g = np.zeros((k2, k2))
-    c = np.zeros((k2, d))
-    for row in rows:
-        g += np.asarray(row["g"]).reshape(k2, k2)
-        c += np.asarray(row["c"]).reshape(k2, d)
-    return g, c
-
-
 def psvdccd_spark(
     state: DataFrame, y: np.ndarray, t: int
 ) -> tuple[DataFrame, np.ndarray]:
     """Algorithm 8's refinement loop on the combined CCD state DataFrame.
 
-    Each iteration: (i) X-phase per block inside ``applyInPandas`` with
-    ``Y`` shipped in the task closure (Alg. 8 Lines 3-10); (ii) moment
-    aggregation; (iii) exact Y-phase replay on the driver (Lines 11-16).
+    Each sweep is one ``mapInPandas`` pass, with no shuffle: the X-phase
+    rows are independent (Alg. 8 Lines 3-10), so every task runs
+    ``x_phase`` on its Arrow batches with ``Y`` in the closure, keeps the
+    block partitioning, and appends one sentinel row (``node < 0``) with
+    its partial moments ``G`` (in ``xf``) and ``C`` (in ``f``). The driver
+    sums the partials and replays the exact Y-phase (Lines 11-16).
     """
     k2 = y.shape[1]
     d = y.shape[0]
     for _ in range(t):
         y_cur = y
 
-        def xp(pdf: pd.DataFrame) -> pd.DataFrame:
-            fi = np.stack(pdf["f"].to_numpy())
-            bi = np.stack(pdf["b"].to_numpy())
-            xf = np.stack(pdf["xf"].to_numpy())
-            xb = np.stack(pdf["xb"].to_numpy())
-            xf, xb = x_phase(fi, bi, xf, xb, y_cur)
-            return pdf.assign(xf=list(xf), xb=list(xb))
+        def sweep(batches):
+            g = np.zeros((k2, k2))
+            c = np.zeros((k2, d))
+            for pdf in batches:
+                if not len(pdf):
+                    continue
+                fi, bi, xf, xb = (
+                    np.stack(pdf[col].to_numpy()) for col in ("f", "b", "xf", "xb")
+                )
+                xf, xb = x_phase(fi, bi, xf, xb, y_cur)
+                g += xf.T @ xf + xb.T @ xb
+                c += xf.T @ fi + xb.T @ bi
+                yield pdf.assign(xf=list(xf), xb=list(xb))
+            empty = np.empty(0)
+            yield pd.DataFrame({
+                "block": np.int32([-1]), "node": np.int64([-1]),
+                "f": [c.ravel()], "b": [empty], "xf": [g.ravel()], "xb": [empty],
+            })
 
-        state = (
-            state.groupBy("block")
-            .applyInPandas(xp, CCD_STATE_SCHEMA)
-            .localCheckpoint(eager=True)
-        )
-        g, c = _moments(state, k2, d)
+        swept = state.mapInPandas(sweep, CCD_STATE_SCHEMA).localCheckpoint(eager=True)
+        g = np.zeros((k2, k2))
+        c = np.zeros((k2, d))
+        for row in swept.filter("node < 0").select("f", "xf").collect():
+            g += np.asarray(row["xf"]).reshape(k2, k2)
+            c += np.asarray(row["f"]).reshape(k2, d)
         y = y_phase_from_moments(y, g, c)
+        state = swept.filter("node >= 0")
     return state, y
 
 

@@ -51,6 +51,15 @@ class TestNumIterations:
         assert num_iterations(0.25, 0.5) in (1, 2)
         assert num_iterations(0.001, 0.5) in (9, 10)
 
+    @pytest.mark.parametrize(
+        "name, eps, alpha",
+        [("alpha", 0.015, 0.0), ("alpha", 0.015, 1.0), ("alpha", 0.015, -0.5),
+         ("eps", 0.0, 0.5), ("eps", 1.0, 0.5), ("eps", float("nan"), 0.5)],
+    )
+    def test_rejects_outside_unit_interval(self, name, eps, alpha):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \(0, 1\)"):
+            num_iterations(eps, alpha)
+
 
 class TestNormalizeAttrs:
     def test_row_and_col_stochastic(self):

@@ -43,6 +43,21 @@ class TestLoopInterchangeEquivalence:
         for a, c in zip(r_fast, r_naive):
             assert np.allclose(a, c, atol=1e-9)
 
+    def test_zero_y_column_guard(self):
+        """The moment-form X-phase skips a coordinate whose ``A[l,l] = ‖Y[:,l]‖²``
+        is zero, exactly as Algorithm 4's ``denom`` guard does."""
+        f, b, xf, xb, y = _problem(seed=13)
+        y[:, 1] = 0.0
+        xf1, xb1, _ = svdccd_numpy(f, b, xf, xb, y, 1)
+        assert np.array_equal(xf1[:, 1], xf[:, 1])
+        assert np.array_equal(xb1[:, 1], xb[:, 1])
+        for t in (1, 3):
+            r_fast = svdccd_numpy(f, b, xf, xb, y, t)
+            r_naive = naive_svdccd_numpy(f, b, xf, xb, y, t)
+            for a, c in zip(r_fast, r_naive):
+                assert np.isfinite(a).all()
+                assert np.allclose(a, c, atol=1e-9)
+
 
 class TestMomentYPhase:
     def test_y_phase_moment_identity(self):
@@ -133,3 +148,35 @@ class TestPsvdccdSpark:
         state, y2 = psvdccd_spark(state, y, t=0)
         xf2, xb2 = collect_embeddings(state, f.shape[0], 3)
         assert np.allclose(xf2, xf) and np.allclose(y2, y)
+
+    def test_one_shuffle_free_pass_per_sweep(self, spark):
+        """Each sweep is one map stage plus the collect of the (G, C) rows;
+        a reshuffle of the state would add a stage. Spread over 32
+        partitions, most of them empty, which still emit a zero (G, C) row
+        that must not leak into the returned state."""
+        sc = spark.sparkContext
+        f, b, xf, xb, y = _problem(n=20, d=6, k2=3, seed=14)
+        state = (
+            state_from_numpy(spark, f, b, xf, xb, 3)
+            .repartition(32, "block")
+            .localCheckpoint(eager=True)
+        )
+        sc.setJobGroup("test-psvdccd-stages", "psvdccd t=3")
+        try:
+            state, y2 = psvdccd_spark(state, y, t=3)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        stages = {
+            s
+            for j in tracker.getJobIdsForGroup("test-psvdccd-stages")
+            for s in tracker.getJobInfo(j).stageIds
+        }
+        assert 0 < len(stages) <= 2 * 3
+        assert state.count() == 20
+        assert state.filter("node < 0").count() == 0
+        xf_ref, xb_ref, y_ref = svdccd_numpy(f, b, xf, xb, y, t=3)
+        xf2, xb2 = collect_embeddings(state, 20, 3)
+        assert np.allclose(y2, y_ref, atol=1e-8)
+        assert np.allclose(xf2, xf_ref, atol=1e-8)
+        assert np.allclose(xb2, xb_ref, atol=1e-8)

@@ -1,10 +1,13 @@
 """Smoke tests for the spark-submit job entrypoints (NumPy-only jobs run
 as real subprocesses; Spark-bound jobs are checked for CLI wiring)."""
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from jobs import _session
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
@@ -59,3 +62,41 @@ class TestSparkJobsCli:
         r = _run([JOBS / job, "--help"], timeout=120)
         assert r.returncode == 0, r.stderr
         assert "--profile" in r.stdout
+
+
+class TestDriverMem:
+    """``_session._driver_mem``: env > cgroup limit > 75% of MemTotal > 48g."""
+
+    MEMINFO = "MemTotal:       16384000 kB\nMemFree:        15000000 kB\n"
+
+    @pytest.fixture
+    def files(self, monkeypatch):
+        monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+        monkeypatch.setenv("_SPARK_DRIVER_MEM_SRC", "")  # restored afterwards
+        contents = {}
+        monkeypatch.setattr(_session, "_read", contents.get)
+        return contents
+
+    def test_env_wins(self, files, monkeypatch):
+        files["/sys/fs/cgroup/memory.max"] = str(8 << 30)
+        monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+        assert _session._driver_mem() == "3g"
+
+    def test_cgroup_limit(self, files):
+        files["/sys/fs/cgroup/memory.max"] = f"{8 << 30}\n"
+        files["/proc/meminfo"] = self.MEMINFO
+        assert _session._driver_mem() == "6g"
+
+    @pytest.mark.parametrize(
+        "cgroup",
+        [{}, {"/sys/fs/cgroup/memory.max": "max\n"},
+         {"/sys/fs/cgroup/memory/memory.limit_in_bytes": f"{2**63 - 4096}\n"}],
+    )
+    def test_meminfo_when_no_cgroup_limit(self, files, cgroup):
+        files.update(cgroup)
+        files["/proc/meminfo"] = self.MEMINFO  # 15.6 GiB → 11g
+        assert _session._driver_mem() == "11g"
+        assert os.environ["_SPARK_DRIVER_MEM_SRC"] == "meminfo:MemTotal=16384000kB"
+
+    def test_fixed_fallback_without_meminfo(self, files):
+        assert _session._driver_mem() == "48g"

@@ -90,6 +90,19 @@ class TestSingleThread:
         assert np.allclose(norms[nz], 1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name", [({"alpha": 1.0}, "alpha"), ({"alpha": 0.0}, "alpha"),
+                     ({"eps": 0.0}, "eps"), ({"eps": 1.5}, "eps")]
+)
+def test_drivers_reject_bad_alpha_eps_alike(spark, g, kwargs, name):
+    args = (g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight)
+    with pytest.raises(ValueError, match=rf"^{name} must be in") as e_np:
+        pane_numpy(*args, **kwargs)
+    with pytest.raises(ValueError, match=rf"^{name} must be in") as e_sp:
+        pane_spark(spark, *args, nb=2, **kwargs)
+    assert str(e_np.value) == str(e_sp.value)
+
+
 class TestParallelVsSingle:
     @pytest.fixture(scope="class")
     def emb_par(self, spark, g):

@@ -15,7 +15,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.linalg.matrix import STATE_SCHEMA
 from repro.linalg.randsvd import rand_svd
 
 # Combined per-node solver state used by SMGreedyInit → PSVDCCD:
@@ -54,89 +53,74 @@ def sm_greedy_init_spark(
     k2: int,
     t: int,
     seed: int = 0,
-    random_init: bool = False,
 ) -> tuple[DataFrame, np.ndarray]:
     """Algorithm 7 (SMGreedyInit): returns the combined CCD state and ``Y``.
 
-    The returned DataFrame has one row per node with columns
-    ``(block, node, f, b, xf, xb)``; ``Y`` lives on the driver (it is
-    d×k/2 and is broadcast into every CCD phase). With
-    ``random_init=True`` the SVD seeding is replaced by Gaussian noise
-    — the PANE-R ablation of Section 5.7, sharing all other machinery.
+    The returned DataFrame has one row per node that has an ``F'`` or a
+    ``B'`` row, with columns ``(block, node, f, b, xf, xb)``; ``Y`` lives
+    on the driver (it is d×k/2 and is broadcast into every CCD phase).
+    Every per-node step is local to the node's block (Alg. 7 Lines 1-3
+    and 7-11 run on each thread's own node subset), so no step joins by
+    node.
     """
-    # -- Split phase: one RandSVD per node block (Alg. 7 Lines 1-3). The
-    # block's U_i = ΦΣ rows stay distributed (node >= 0); its V_i^T rows
-    # are emitted with sentinel node ids -(1..k2) and collected, since the
-    # merge input [V1 … Vnb]^T is small by construction.
-    def split(pdf: pd.DataFrame) -> pd.DataFrame:
-        blk = np.int32(pdf["block"].iloc[0])
-        fi = np.stack(pdf["vec"].to_numpy())
+    # -- Split phase (Alg. 7 Lines 1-3): each block task aligns its F' and
+    # B' rows on the union of their node ids (a missing row is zero, as
+    # Alg. 3 sees it) and runs the block's RandSVD. Node rows carry
+    # U_i = ΦΣ in ``xf``; the V_i^T rows go in ``f`` under sentinel node ids
+    # -(1..k2) and are collected: [V1 … Vnb]^T is small by construction.
+    def split(key, fp: pd.DataFrame, bp: pd.DataFrame) -> pd.DataFrame:
+        blk = np.int32(key[0])
+        nodes = np.union1d(fp["node"], bp["node"])
+        fi, bi = np.zeros((2, len(nodes), d))
+        for mat, pdf in ((fi, fp), (bi, bp)):
+            if len(pdf):
+                mat[np.searchsorted(nodes, pdf["node"])] = np.stack(pdf["vec"])
         u, s, v = rand_svd(fi, k2, t, seed=seed + 17 * int(blk))
-        ui = u @ s
-        urows = pd.DataFrame(
-            {"block": blk, "node": pdf["node"].to_numpy(), "vec": list(ui)}
-        )
-        vrows = pd.DataFrame(
-            {
-                "block": blk,
-                "node": -(np.arange(k2, dtype=np.int64) + 1),
-                "vec": list(v.T),
-            }
-        )
-        return pd.concat([urows, vrows], ignore_index=True)
+        empty = [np.empty(0)]
+        rows = pd.DataFrame({
+            "block": blk, "node": nodes, "f": list(fi), "b": list(bi),
+            "xf": list(u @ s), "xb": empty * len(nodes),
+        })
+        vrows = pd.DataFrame({
+            "block": blk, "node": -(np.arange(k2, dtype=np.int64) + 1),
+            "f": list(v.T), "b": empty * k2, "xf": empty * k2, "xb": empty * k2,
+        })
+        return pd.concat([rows, vrows], ignore_index=True)
 
     mixed = (
         f_state.groupBy("block")
-        .applyInPandas(split, STATE_SCHEMA)
+        .cogroup(b_state.groupBy("block"))
+        .applyInPandas(split, CCD_STATE_SCHEMA)
         .localCheckpoint(eager=True)
     )
-    v_pdf = mixed.filter("node < 0").toPandas()
-    blocks = sorted(v_pdf["block"].unique().tolist())
-    pos = {blk: i for i, blk in enumerate(blocks)}
+    v_pdf = mixed.filter("node < 0").select("block", "node", "f").toPandas()
 
     # -- Merge phase (Alg. 7 Lines 4-6), on the driver: V ∈ R^{nb·k2 × d}.
     v_pdf = v_pdf.sort_values(["block", "node"], ascending=[True, False])
-    v_stack = np.stack(v_pdf["vec"].to_numpy())
+    v_stack = np.stack(v_pdf["f"].to_numpy())
     phi, sig, y = rand_svd(v_stack, k2, t, seed=seed + 1009)
-    w = phi @ sig  # (nb·k2, k2); block i owns rows [i·k2, (i+1)·k2)
+    # ΦΣ is (nb·k2, k2); the i-th block in order owns rows [i·k2, (i+1)·k2).
+    blocks = v_pdf["block"].unique()
+    w = dict(zip(blocks, np.split(phi @ sig, len(blocks))))
 
     # -- Assemble phase (Alg. 7 Lines 7-11): Xf[Vi] = Ui · W_i, Xb[Vi] = B'[Vi]·Y.
-    u_state = mixed.filter("node >= 0")
-    combined = (
-        f_state.select("block", "node", f_state["vec"].alias("f"))
-        .join(b_state.select("node", b_state["vec"].alias("b")), "node")
-        .join(u_state.select("node", u_state["vec"].alias("u")), "node")
-    )
-
-    def assemble(pdf: pd.DataFrame) -> pd.DataFrame:
-        blk = int(pdf["block"].iloc[0])
-        fi = np.stack(pdf["f"].to_numpy())
-        bi = np.stack(pdf["b"].to_numpy())
-        if random_init:
-            rng = np.random.default_rng(seed + 31 * blk)
-            scale = 1.0 / np.sqrt(k2)
-            xf = rng.standard_normal((len(pdf), k2)) * scale
-            xb = rng.standard_normal((len(pdf), k2)) * scale
-        else:
-            ui = np.stack(pdf["u"].to_numpy())
-            xf = ui @ w[pos[blk] * k2 : (pos[blk] + 1) * k2]
-            xb = bi @ y
-        return pd.DataFrame(
-            {
-                "block": np.int32(blk),
-                "node": pdf["node"].to_numpy(),
-                "f": list(fi),
-                "b": list(bi),
-                "xf": list(xf),
-                "xb": list(xb),
-            }
-        )
+    # A partition may hold several blocks.
+    def assemble(batches):
+        for pdf in batches:
+            if not len(pdf):
+                continue
+            row_blocks = pdf["block"].to_numpy()
+            ui = np.stack(pdf["xf"].to_numpy())
+            xf = np.empty_like(ui)
+            for blk in np.unique(row_blocks):
+                rows = row_blocks == blk
+                xf[rows] = ui[rows] @ w[blk]
+            xb = np.stack(pdf["b"].to_numpy()) @ y
+            yield pdf.assign(xf=list(xf), xb=list(xb))
 
     state = (
-        combined.groupBy("block")
-        .applyInPandas(assemble, CCD_STATE_SCHEMA)
+        mixed.filter("node >= 0")
+        .mapInPandas(assemble, CCD_STATE_SCHEMA)
         .localCheckpoint(eager=True)
     )
-    if random_init:
-        y = np.random.default_rng(seed + 2003).standard_normal((d, k2)) / np.sqrt(k2)
     return state, y

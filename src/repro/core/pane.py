@@ -18,12 +18,8 @@ from pyspark.sql import functions as F
 
 from repro.core.affinity import apmi_numpy, num_iterations, papmi_from_states
 from repro.core.ccd import collect_embeddings, psvdccd_spark, svdccd_numpy
-from repro.core.greedy_init import (
-    greedy_init_numpy,
-    random_init_numpy,
-    sm_greedy_init_spark,
-)
-from repro.linalg import l2_normalize_rows
+from repro.core.greedy_init import greedy_init_numpy, sm_greedy_init_spark
+from repro.linalg import col_normalize, l2_normalize_rows, row_normalize
 from repro.linalg.matrix import STATE_SCHEMA, attrs_df, edges_df
 
 
@@ -56,6 +52,32 @@ class PaneEmbedding:
         return np.hstack([l2_normalize_rows(self.xf), l2_normalize_rows(self.xb)])
 
 
+def validate_inputs(
+    n: int, d: int, src: np.ndarray, dst: np.ndarray, node: np.ndarray,
+    attr: np.ndarray, weight: np.ndarray, k: int,
+) -> None:
+    """Reject malformed driver inputs with a ``ValueError``.
+
+    Both drivers call this right after ``num_iterations``: the COO arrays
+    must pair up, every id must index into its dimension, and ``k`` must
+    be even and at least 2, since it is split into two k/2 halves.
+    """
+    if k < 2 or k % 2:
+        raise ValueError(f"k must be an even integer >= 2, got {k!r}")
+    for names, arrays in (("src, dst", (src, dst)),
+                          ("node, attr, weight", (node, attr, weight))):
+        if len({len(a) for a in arrays}) > 1:
+            lens = [len(a) for a in arrays]
+            raise ValueError(f"{names} must have equal lengths, got {lens}")
+    for name, ids, size in (("src", src, n), ("dst", dst, n),
+                            ("node", node, n), ("attr", attr, d)):
+        if len(ids) and not 0 <= np.min(ids) <= np.max(ids) < size:
+            raise ValueError(
+                f"{name} ids must be in [0, {size}), "
+                f"got [{np.min(ids)}, {np.max(ids)}]"
+            )
+
+
 def pane_numpy(
     n: int,
     d: int,
@@ -68,16 +90,12 @@ def pane_numpy(
     alpha: float = 0.5,
     eps: float = 0.015,
     seed: int = 0,
-    greedy: bool = True,
 ) -> PaneEmbedding:
     """Algorithm 1: APMI → GreedyInit → SVDCCD, all in NumPy."""
     t = num_iterations(eps, alpha)
+    validate_inputs(n, d, src, dst, node, attr, weight, k)
     f, b = apmi_numpy(n, d, src, dst, node, attr, weight, alpha, t)
-    k2 = k // 2
-    if greedy:
-        xf, xb, y = greedy_init_numpy(f, b, k2, t, seed)
-    else:
-        xf, xb, y = random_init_numpy(n, d, k2, seed)
+    xf, xb, y = greedy_init_numpy(f, b, k // 2, t, seed)
     xf, xb, y = svdccd_numpy(f, b, xf, xb, y, t)
     return PaneEmbedding(xf, xb, y)
 
@@ -87,37 +105,31 @@ def attr_states(
 ) -> tuple[DataFrame, DataFrame]:
     """Distributed ``(R_r, R_c)`` state DataFrames from COO associations.
 
-    Normalizations run as Spark aggregations (Alg. 6 Line 1); the dense
-    per-node rows are assembled per block. Nodes with no attributes get
-    no row (zero-row semantics, DESIGN.md deviation #2).
+    Each block task densifies its own nodes' raw ``R`` rows, summing
+    duplicates (Alg. 6 Line 1); ``R_r``/``R_c`` are their zero-safe row and
+    column normalizations, as in ``normalize_attrs``. Nodes with no
+    attributes get no row (zero-row semantics, DESIGN.md deviation #2).
     """
-    node_sum = attrs.groupBy("node").agg(F.sum("weight").alias("ns"))
-    attr_sum = attrs.groupBy("attr").agg(F.sum("weight").alias("as"))
-    rr = attrs.join(node_sum, "node").select(
-        "node", "attr", (F.col("weight") / F.col("ns")).alias("w")
-    )
-    rc = attrs.join(attr_sum, "attr").select(
-        "node", "attr", (F.col("weight") / F.col("as")).alias("w")
-    )
 
     def densify(pdf: pd.DataFrame) -> pd.DataFrame:
         blk = np.int32(pdf["block"].iloc[0])
         nodes, inv = np.unique(pdf["node"].to_numpy(), return_inverse=True)
         mat = np.zeros((len(nodes), d))
-        np.add.at(mat, (inv, pdf["attr"].to_numpy()), pdf["w"].to_numpy())
+        np.add.at(mat, (inv, pdf["attr"].to_numpy()), pdf["weight"].to_numpy())
         return pd.DataFrame(
             {"block": np.full(len(nodes), blk), "node": nodes, "vec": list(mat)}
         )
 
-    def to_state(coo: DataFrame) -> DataFrame:
-        return (
-            coo.withColumn("block", (F.col("node") % nb).cast("int"))
-            .groupBy("block")
-            .applyInPandas(densify, STATE_SCHEMA)
-            .localCheckpoint(eager=True)
-        )
-
-    return to_state(rr), to_state(rc)
+    r = (
+        attrs.withColumn("block", (F.col("node") % nb).cast("int"))
+        .groupBy("block")
+        .applyInPandas(densify, STATE_SCHEMA)
+        .localCheckpoint(eager=True)
+    )
+    return (
+        row_normalize(r).localCheckpoint(eager=True),
+        col_normalize(r, d).localCheckpoint(eager=True),
+    )
 
 
 def pane_spark(
@@ -134,7 +146,6 @@ def pane_spark(
     eps: float = 0.015,
     nb: int = 8,
     seed: int = 0,
-    greedy: bool = True,
 ) -> PaneEmbedding:
     """Algorithm 5: PAPMI → SMGreedyInit → PSVDCCD on Spark DataFrames.
 
@@ -146,6 +157,7 @@ def pane_spark(
     disk).
     """
     t = num_iterations(eps, alpha)
+    validate_inputs(n, d, src, dst, node, attr, weight, k)
     k2 = k // 2
     edges = edges_df(spark, src, dst)
     assoc = attrs_df(spark, node, attr, weight)
@@ -153,9 +165,7 @@ def pane_spark(
     f_state, b_state = papmi_from_states(
         edges, rr_state, rc_state, n, d, alpha, t, nb
     )
-    state, y = sm_greedy_init_spark(
-        f_state, b_state, d, k2, t, seed, random_init=not greedy
-    )
+    state, y = sm_greedy_init_spark(f_state, b_state, d, k2, t, seed)
     state, y = psvdccd_spark(state, y, t)
     xf, xb = collect_embeddings(state, n, k2)
     return PaneEmbedding(xf, xb, y)

@@ -3,13 +3,15 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.affinity import apmi_numpy
+from repro.core.affinity import apmi_numpy, papmi_from_states
 from repro.core.greedy_init import (
     greedy_init_numpy,
     random_init_numpy,
     sm_greedy_init_spark,
 )
+from repro.core.pane import attr_states
 from repro.linalg import make_state
+from repro.linalg.matrix import attrs_df, edges_df
 
 
 def _affinities(n=30, d=10, seed=0):
@@ -117,22 +119,6 @@ class TestSMGreedyInitSpark:
         obj_st = objective(f, b, *xg)
         assert obj_sm <= 1.05 * obj_st + 1e-9
 
-    def test_random_init_flag(self, spark):
-        n, d = 20, 8
-        f, b = _affinities(seed=8)
-        f, b = f[:n, :d], b[:n, :d]
-        state, y = sm_greedy_init_spark(
-            make_state(spark, f, 2), make_state(spark, b, 2), d, 3, t=4,
-            seed=1, random_init=True,
-        )
-        pdf = state.toPandas()
-        xf = np.stack(pdf["xf"].to_numpy())
-        assert xf.shape == (n, 3)
-        assert y.shape == (d, 3)
-        # random init must NOT reconstruct F' well
-        order = pdf["node"].to_numpy()
-        assert np.linalg.norm(f[order] - xf @ y.T) > 0.5 * np.linalg.norm(f)
-
     def test_more_blocks_than_wide(self, spark):
         """Blocks narrower than k2 rows still produce fixed-width output."""
         n, d = 9, 6
@@ -145,3 +131,38 @@ class TestSMGreedyInitSpark:
         pdf = state.toPandas()
         assert np.stack(pdf["xf"].to_numpy()).shape == (n, 4)
         assert y.shape == (d, 4)
+
+    def test_block_local_stage_counts(self, spark):
+        """attr_states and SMGreedyInit join nothing by node: each is a few
+        block-local passes (18 and 16 stages when they joined by node)."""
+        sc = spark.sparkContext
+        n, d, nb = 24, 7, 3
+        rng = np.random.default_rng(0)
+        src, dst = rng.integers(0, n, (2, 60))
+        node, attr = rng.integers(0, n, 48), rng.integers(0, d, 48)
+        assoc = attrs_df(spark, node, attr, 1.0 + rng.random(48))
+
+        def stages(group, fn):
+            sc.setJobGroup(group, group)
+            try:
+                out = fn()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            tracker = sc.statusTracker()
+            return out, len({
+                s
+                for j in tracker.getJobIdsForGroup(group)
+                for s in tracker.getJobInfo(j).stageIds
+            })
+
+        (rr, rc), n_attr = stages(
+            "test-attr-states-stages", lambda: attr_states(spark, assoc, d, nb)
+        )
+        fs, bs = papmi_from_states(edges_df(spark, src, dst), rr, rc, n, d, 0.5, 3, nb)
+        (state, y), n_init = stages(
+            "test-sm-greedy-init-stages",
+            lambda: sm_greedy_init_spark(fs, bs, d, 3, t=3, seed=0),
+        )
+        assert 0 < n_attr <= 6
+        assert 0 < n_init <= 7
+        assert state.count() == fs.join(bs, "node", "full").count()

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core.affinity import apmi_numpy, num_iterations
-from repro.core.ccd import objective
+from repro.core.ccd import objective, svdccd_numpy
+from repro.core.greedy_init import random_init_numpy
 from repro.core.pane import PaneEmbedding, pane_numpy, pane_spark
 from repro.datasets import load
 from repro.eval.metrics import roc_auc
@@ -42,16 +43,14 @@ class TestSingleThread:
         rel_b = np.linalg.norm(b - emb_st.xb @ emb_st.y.T) / np.linalg.norm(b)
         assert rel_f < 0.8 and rel_b < 0.8  # far better than the zero model
 
-    def test_greedy_beats_random_at_equal_iterations(self, g):
-        """Section 5.7 (Figures 7-8): GreedyInit beats random init."""
+    def test_greedy_beats_random_at_equal_iterations(self, g, emb_st):
+        """Section 5.7 (Figures 7-8): GreedyInit beats random init. PANE-R
+        is composed as ``tables.greedyinit_rows`` composes it."""
         t = num_iterations(0.015, 0.5)
         f, b = apmi_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight, 0.5, t)
-        e_g = pane_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                         k=32, seed=0, greedy=True)
-        e_r = pane_numpy(g.n, g.d, g.src, g.dst, g.node, g.attr, g.weight,
-                         k=32, seed=0, greedy=False)
-        assert objective(f, b, e_g.xf, e_g.xb, e_g.y) < objective(
-            f, b, e_r.xf, e_r.xb, e_r.y
+        e_r = svdccd_numpy(f, b, *random_init_numpy(g.n, g.d, 16, seed=0), t)
+        assert objective(f, b, emb_st.xf, emb_st.xb, emb_st.y) < objective(
+            f, b, *e_r
         )
 
     def test_attr_scores_eq21(self, g, emb_st):
@@ -101,6 +100,33 @@ def test_drivers_reject_bad_alpha_eps_alike(spark, g, kwargs, name):
     with pytest.raises(ValueError, match=rf"^{name} must be in") as e_sp:
         pane_spark(spark, *args, nb=2, **kwargs)
     assert str(e_np.value) == str(e_sp.value)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"k": 7}, "k must be an even integer >= 2, got 7"),
+        ({"k": 0}, "k must be an even integer >= 2, got 0"),
+        ({"dst": np.array([1, 2])}, "src, dst must have equal lengths, got [3, 2]"),
+        ({"weight": np.ones(2)},
+         "node, attr, weight must have equal lengths, got [3, 3, 2]"),
+        ({"src": np.array([0, 1, 4])}, "src ids must be in [0, 4), got [0, 4]"),
+        ({"node": np.array([-1, 1, 2])}, "node ids must be in [0, 4), got [-1, 2]"),
+        ({"attr": np.array([0, 1, 2])}, "attr ids must be in [0, 2), got [0, 2]"),
+    ],
+)
+def test_drivers_reject_bad_inputs_alike(spark, change, message):
+    inputs = {
+        "n": 4, "d": 2,
+        "src": np.array([0, 1, 2]), "dst": np.array([1, 2, 3]),
+        "node": np.array([1, 2, 3]), "attr": np.array([0, 1, 1]),
+        "weight": np.ones(3), "k": 2, **change,
+    }
+    with pytest.raises(ValueError) as e_np:
+        pane_numpy(**inputs)
+    with pytest.raises(ValueError) as e_sp:
+        pane_spark(spark, nb=2, **inputs)
+    assert str(e_np.value) == str(e_sp.value) == message
 
 
 class TestParallelVsSingle:

@@ -86,14 +86,34 @@ class TestLemma41:
         f, b = affinities_spark_to_numpy(fs, bs, n, d)
         assert np.abs(f - f_ref).max() < 1e-9
         assert np.abs(b - b_ref).max() < 1e-9
-        # k/2 = d: both factorizations are exact, so the scores must agree.
-        args = (n, d, src, dst, node, attr, w)
-        emb_p = pane_spark(spark, *args, k=2 * d, nb=nb)
-        emb_s = pane_numpy(*args, k=2 * d)
-        vs, rs = np.divmod(np.arange(n * d), d)
-        assert np.allclose(
-            emb_p.attr_scores(vs, rs), emb_s.attr_scores(vs, rs), atol=1e-9
-        )
+        _assert_exact_scores_agree(spark, (n, d, src, dst, node, attr, w), nb)
+
+    @pytest.mark.parametrize("nb", [1, 3])
+    def test_one_sided_nodes_match_numpy(self, spark, nb):
+        """Nodes 10 and 11 have no attributes; 10 has only out-edges (an F'
+        row, no B' row), 11 only in-edges (a B' row, no F' row). Both keep
+        their embedding rows on Spark, as in NumPy."""
+        n, d = 12, 5
+        src, dst, node, attr, w = _instance(10, d, seed=7)
+        src = np.concatenate([src, [10, 10, 3, 6]])
+        dst = np.concatenate([dst, [2, 5, 11, 11]])
+        _assert_exact_scores_agree(spark, (n, d, src, dst, node, attr, w), nb)
+
+
+def _assert_exact_scores_agree(spark, args, nb):
+    """With k/2 = d both factorizations are exact, so every Eq. (21) and
+    Eq. (22) score of ``pane_spark`` must equal ``pane_numpy``'s."""
+    n, d = args[:2]
+    emb_p = pane_spark(spark, *args, k=2 * d, nb=nb)
+    emb_s = pane_numpy(*args, k=2 * d)
+    vs, rs = np.divmod(np.arange(n * d), d)
+    assert np.allclose(
+        emb_p.attr_scores(vs, rs), emb_s.attr_scores(vs, rs), atol=1e-9
+    )
+    us, ws = np.divmod(np.arange(n * n), n)
+    assert np.allclose(
+        emb_p.link_scores(us, ws), emb_s.link_scores(us, ws), atol=1e-9
+    )
 
 
 class TestAttrStates:
